@@ -55,14 +55,18 @@ func TestLoadMmapIdentical(t *testing.T) {
 	}
 
 	// Traversals over the mapped graph must be byte-identical to the
-	// heap graph — parents included, not just depths.
+	// heap graph — parents included, not just depths. One worker makes
+	// the parent choice deterministic: with several, which frontier
+	// vertex claims a child first is the engine's benign race.
+	opts := bfs.Default(1)
+	opts.Workers = 1
 	for _, source := range []uint32{0, 1, uint32(g.NumVertices() / 2)} {
-		rh, err := bfs.Run(heap, source, bfs.Default(1))
+		rh, err := bfs.Run(heap, source, opts)
 		if err != nil {
 			t.Fatalf("heap run: %v", err)
 		}
 		hDP := append([]uint64(nil), rh.DP...)
-		rm, err := bfs.Run(mapped, source, bfs.Default(1))
+		rm, err := bfs.Run(mapped, source, opts)
 		if err != nil {
 			t.Fatalf("mmap run: %v", err)
 		}

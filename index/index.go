@@ -404,20 +404,20 @@ func (b *builder) insertBatch(batch []uint32, distF, distB [][]uint16) error {
 }
 
 // sweepBatch runs the MS-BFS sweeps for one landmark batch and extracts
-// compact uint16 depth arrays, releasing the 8-byte DP arrays before
-// the next batch.
+// compact uint16 depth arrays, releasing each sweep's lane state before
+// the next sweep.
 func (b *builder) sweepBatch(ctx context.Context, batch []uint32) (distF, distB [][]uint16, err error) {
 	n := b.g.NumVertices()
 	extract := func(res *msbfs.Result) ([][]uint16, error) {
 		d := make([][]uint16, len(batch))
-		for k := range batch {
+		for k := range d {
 			d[k] = make([]uint16, n)
-			if _, err := res.DepthsInto(k, d[k], unreached16); err != nil {
-				if errors.Is(err, msbfs.ErrDepthOverflow) {
-					return nil, fmt.Errorf("%w: landmark %d", ErrDepthRange, batch[k])
-				}
-				return nil, err
+		}
+		if err := res.AllDepthsInto(d, unreached16, b.workers); err != nil {
+			if errors.Is(err, msbfs.ErrDepthOverflow) {
+				return nil, fmt.Errorf("%w: %v", ErrDepthRange, err)
 			}
+			return nil, err
 		}
 		return d, nil
 	}

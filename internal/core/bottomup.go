@@ -176,11 +176,10 @@ func (e *Engine) directionStep(m *trace.StepMetrics, total int64) {
 	if e.dir == DirTopDown {
 		// m_u shrinks by the edges this top-down step examined (bottom-up
 		// steps leave it alone, matching GAP: the estimate only needs to
-		// be conservative).
-		e.muEdges -= m.Edges
-		if e.muEdges < 0 {
-			e.muEdges = 0
-		}
+		// be conservative). Duplicate expansions from the benign race
+		// count in m.Edges too, so m_u can run out early; it stays at
+		// least 1 so that α→0 keeps meaning "never switch".
+		e.muEdges = max(e.muEdges-m.Edges, 1)
 		var scout int64 // m_f: out-edge sum of the frontier just produced
 		for _, st := range e.ws {
 			scout += st.nextDeg

@@ -41,7 +41,7 @@ func TestHybridSweepMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkLanesMatchSerial(t, tc.g, res)
+				checkLanesAgainstSerial(t, tc.g, tc.g.Transpose(), res)
 				if len(res.Directions) != res.Steps {
 					t.Fatalf("%s/l%d/w%d: %d directions for %d steps",
 						tc.name, lanes, workers, len(res.Directions), res.Steps)

@@ -1,49 +1,14 @@
 package msbfs
 
 import (
-	"errors"
 	"context"
+	"errors"
 	"testing"
 
 	"fastbfs/graph"
 	"fastbfs/graph/gen"
 	"fastbfs/internal/core"
 )
-
-// checkLanesMatchSerial asserts every lane's depths equal an independent
-// serial run from that lane's source.
-func checkLanesMatchSerial(t *testing.T, g *graph.Graph, res *Result) {
-	t.Helper()
-	for k, s := range res.Sources {
-		ref, err := core.SerialBFS(g, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < g.NumVertices(); v++ {
-			want := ref.Depth(uint32(v))
-			got := res.Depth(k, uint32(v))
-			if got != want {
-				t.Fatalf("lane %d (source %d): depth(%d) = %d, want %d", k, s, v, got, want)
-			}
-		}
-		// Parents must form a valid tree edge: parent at depth-1 with an
-		// edge to the child (any valid parent is acceptable).
-		for v := 0; v < g.NumVertices(); v++ {
-			d := res.Depth(k, uint32(v))
-			if d <= 0 {
-				continue
-			}
-			p := res.Parent(k, uint32(v))
-			if p < 0 || ref.Depth(uint32(p)) != d-1 {
-				t.Fatalf("lane %d: parent(%d) = %d at depth %d, child depth %d",
-					k, v, p, ref.Depth(uint32(p)), d)
-			}
-			if !g.HasEdge(uint32(p), uint32(v)) {
-				t.Fatalf("lane %d: parent edge (%d,%d) not in graph", k, p, v)
-			}
-		}
-	}
-}
 
 func TestFullBatchMatchesSerialRMAT(t *testing.T) {
 	g, err := gen.RMAT(gen.Graph500Params(11, 8), 3)
@@ -58,7 +23,7 @@ func TestFullBatchMatchesSerialRMAT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkLanesMatchSerial(t, g, res)
+	checkLanesAgainstSerial(t, g, g.Transpose(), res)
 	if res.LaneEdges < res.EdgesScanned {
 		t.Errorf("LaneEdges %d < EdgesScanned %d: batch shared nothing", res.LaneEdges, res.EdgesScanned)
 	}
@@ -92,7 +57,7 @@ func TestSmallBatchesAndShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkLanesMatchSerial(t, tc.g, res)
+			checkLanesAgainstSerial(t, tc.g, tc.g.Transpose(), res)
 		})
 	}
 }

@@ -11,7 +11,7 @@ import (
 // never a half-built or mismatched entry — while eviction churns the
 // list. Run under -race this also proves the lock discipline.
 func TestLRUCacheConcurrent(t *testing.T) {
-	c := newLRUCache(4)
+	c := newLRUCache(4, 0)
 	const workers = 8
 	const ops = 2000
 	var wg sync.WaitGroup

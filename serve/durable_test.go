@@ -255,6 +255,7 @@ func TestDurableMissingFileSkippedAtRecovery(t *testing.T) {
 // the package-level transpose cache: every path a graph leaves the
 // serving table (unload, budget eviction, atomic replacement) must
 // release its cached in-adjacency, or both CSRs stay reachable forever.
+// Shutdown releases those of the graphs still resident.
 func TestTransposeReleasedOnRetirePaths(t *testing.T) {
 	mk := func(seed uint64) *graphPair {
 		g, err := gen.UniformRandom(400, 4, seed)
@@ -314,6 +315,22 @@ func TestTransposeReleasedOnRetirePaths(t *testing.T) {
 		}
 		if bfs.InAdjacencyCached(p.g) {
 			t.Fatal("old graph's transpose still cached after replacement — leak")
+		}
+	})
+
+	t.Run("shutdown", func(t *testing.T) {
+		p := mk(5)
+		s := New(Config{})
+		if err := s.AddGraph("s", p.g); err != nil {
+			t.Fatal(err)
+		}
+		bfs.InAdjacency(p.g)
+		if _, err := s.Query(context.Background(), Request{Graph: "s", Source: 1}); err != nil {
+			t.Fatal(err)
+		}
+		shutdown(t, s)
+		if bfs.InAdjacencyCached(p.g) {
+			t.Fatal("resident graph's transpose still cached after Shutdown — leak")
 		}
 	})
 }

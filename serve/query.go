@@ -8,7 +8,6 @@ import (
 	"fastbfs/graph"
 	"fastbfs/internal/core"
 	"fastbfs/internal/msbfs"
-	"fastbfs/internal/par"
 )
 
 // Request is one traversal query. Graph and Source select the
@@ -103,30 +102,43 @@ type Response struct {
 
 // Traversal is an immutable completed-traversal snapshot: unlike a live
 // bfs.Result it does not alias engine storage, so it can be cached and
-// shared across waiters indefinitely.
+// shared across waiters indefinitely. An engine traversal owns a copy of
+// the engine's packed parent/depth array; a batched traversal is a view
+// of one lane of its multi-source sweep, which it shares without copying
+// with the other lanes of that sweep.
 type Traversal struct {
 	Source  uint32
-	DP      []uint64 // packed parent/depth per vertex, core.INF = unvisited
 	Steps   int
 	Visited int64
 	Batched bool
 	Elapsed time.Duration
+
+	dp    []uint64      // engine: packed parent/depth per vertex, core.INF = unvisited
+	sweep *msbfs.Result // batched: the shared sweep,
+	lane  int           // this traversal's lane in it,
+	in    *graph.Graph  // and the in-adjacency that recovers its parents
 }
 
 // Depth returns the BFS depth of v, or -1 if unreached.
 func (t *Traversal) Depth(v uint32) int32 {
-	if t.DP[v] == core.INF {
+	if t.sweep != nil {
+		return t.sweep.Depth(t.lane, v)
+	}
+	if t.dp[v] == core.INF {
 		return -1
 	}
-	return int32(uint32(t.DP[v]))
+	return int32(uint32(t.dp[v]))
 }
 
 // Parent returns the BFS parent of v, or -1 if unreached.
 func (t *Traversal) Parent(v uint32) int64 {
-	if t.DP[v] == core.INF {
+	if t.sweep != nil {
+		return t.sweep.Parent(t.in, t.lane, v)
+	}
+	if t.dp[v] == core.INF {
 		return -1
 	}
-	return int64(t.DP[v] >> 32)
+	return int64(t.dp[v] >> 32)
 }
 
 // PathTo returns the tree path Source..v, or nil if v is unreached.
@@ -138,9 +150,22 @@ func (t *Traversal) PathTo(v uint32) []uint32 {
 	path := make([]uint32, d+1)
 	for i := int(d); i >= 0; i-- {
 		path[i] = v
-		v = uint32(t.DP[v] >> 32)
+		v = uint32(t.Parent(v))
 	}
 	return path
+}
+
+// AllDepths returns the depth of every vertex, -1 where unreached.
+func (t *Traversal) AllDepths() []int32 {
+	n := len(t.dp)
+	if t.sweep != nil {
+		n = t.sweep.NumVertices()
+	}
+	depths := make([]int32, n)
+	for v := range depths {
+		depths[v] = t.Depth(uint32(v))
+	}
+	return depths
 }
 
 // newEngineTraversal snapshots a live engine result (copying DP, which
@@ -148,57 +173,26 @@ func (t *Traversal) PathTo(v uint32) []uint32 {
 func newEngineTraversal(r *bfs.Result) *Traversal {
 	return &Traversal{
 		Source:  r.Source,
-		DP:      append([]uint64(nil), r.DP...),
+		dp:      append([]uint64(nil), r.DP...),
 		Steps:   r.Steps,
 		Visited: r.Visited,
 		Elapsed: r.Elapsed,
 	}
 }
 
-// newLaneTraversal adopts one lane of a multi-source sweep (lane arrays
-// are allocated per sweep, so no copy is needed) and derives the lane's
-// own Steps/Visited, which the shared sweep does not track.
-func newLaneTraversal(res *msbfs.Result, lane int, elapsed time.Duration) *Traversal {
-	dp := res.DP[lane]
-	type acc struct {
-		visited int64
-		maxd    int32
-		_       [6]uint64
-	}
-	workers := par.DefaultWorkers()
-	parts := make([]acc, workers)
-	if err := par.Run(workers, func(w int) {
-		lo, hi := par.Range(len(dp), w, workers)
-		var visited int64
-		var maxd int32
-		for _, x := range dp[lo:hi] {
-			if x == core.INF {
-				continue
-			}
-			visited++
-			if d := int32(uint32(x)); d > maxd {
-				maxd = d
-			}
-		}
-		parts[w] = acc{visited: visited, maxd: maxd}
-	}); err != nil {
-		panic(err) // a counting loop cannot panic; surface anything else loudly
-	}
-	var visited int64
-	var maxd int32
-	for i := range parts {
-		visited += parts[i].visited
-		if parts[i].maxd > maxd {
-			maxd = parts[i].maxd
-		}
-	}
+// newLaneTraversal is the view of one lane of a multi-source sweep. in
+// is the in-adjacency of the swept graph (the graph itself when
+// symmetric).
+func newLaneTraversal(res *msbfs.Result, lane int, in *graph.Graph, elapsed time.Duration) *Traversal {
 	return &Traversal{
 		Source:  res.Sources[lane],
-		DP:      dp,
-		Steps:   int(maxd) + 1, // engine counting: deepest level + empty-frontier detection
-		Visited: visited,
+		Steps:   res.LaneSteps(lane),
+		Visited: res.LaneVisited(lane),
 		Batched: true,
 		Elapsed: elapsed,
+		sweep:   res,
+		lane:    lane,
+		in:      in,
 	}
 }
 
@@ -236,10 +230,7 @@ func buildResponse(gs *graphState, req Request, tr *Traversal, cached bool) (*Re
 		resp.Path, resp.PathFound = path, &found
 	}
 	if req.AllDepths {
-		resp.Depths = make([]int32, len(tr.DP))
-		for v := range tr.DP {
-			resp.Depths[v] = tr.Depth(uint32(v))
-		}
+		resp.Depths = tr.AllDepths()
 	}
 	return resp, nil
 }

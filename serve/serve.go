@@ -129,9 +129,9 @@ type Config struct {
 	// batch. Zero (the default) favors latency: batching then emerges
 	// purely from arrivals during the previous round's execution.
 	BatchLinger time.Duration
-	// CacheEntries is the per-graph LRU capacity in traversals (each
-	// entry holds an 8-byte word per vertex). Default 32; negative
-	// disables caching.
+	// CacheEntries is the per-graph LRU capacity in traversals; the
+	// cache also holds at most 8·V·CacheEntries bytes (see lruCache).
+	// Default 32; negative disables caching.
 	CacheEntries int
 	// DefaultTimeout bounds queries that arrive without a deadline
 	// (default 5s).
@@ -473,7 +473,7 @@ func (s *Service) registerGraphLocked(name string, g *graph.Graph, replace bool,
 		g:          g,
 		path:       path,
 		pool:       NewEnginePool(g, opts, s.cfg.PoolSize),
-		cache:      newLRUCache(s.cfg.CacheEntries),
+		cache:      newLRUCache(s.cfg.CacheEntries, g.NumVertices()),
 		breaker:    newBreaker(s.cfg.BreakerThreshold, s.cfg.BreakerCooldown),
 		resident:   resident,
 		mapped:     mapped,
@@ -631,9 +631,14 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		<-done
 		err = ctx.Err()
 	}
-	// Every journal append was fsync'd at mutation time; Close only
-	// releases the handle.
+	// Nothing traverses after the drain, so the process-wide cached
+	// transposes of the resident graphs can go (the retire paths do the
+	// same for graphs leaving the table earlier). Every journal append
+	// was fsync'd at mutation time; Close only releases the handle.
 	s.mu.Lock()
+	for _, gs := range s.graphs {
+		bfs.ReleaseInAdjacency(gs.g)
+	}
 	if s.manifest != nil {
 		_ = s.manifest.Close()
 	}
@@ -895,19 +900,21 @@ func (s *Service) dispatch(gs *graphState) {
 	}
 }
 
-// runBatched serves one round as a single bit-parallel sweep. When the
-// service's engine options request hybrid traversal, the sweep is
-// direction-optimizing too: it shares the per-graph cached transpose
-// with the pooled engines (bfs.InAdjacency), so daemon-side batched
-// queries get the same bottom-up win as single-source ones. A panic
-// anywhere in the sweep (injected or real) fails the round with a
-// typed engine fault instead of killing the daemon.
+// runBatched serves one round as a single bit-parallel sweep, each
+// flight resolving to a view of its lane. When the service's engine
+// options request hybrid traversal, the sweep is direction-optimizing
+// too: it shares the per-graph cached transpose with the pooled engines
+// (bfs.InAdjacency), so daemon-side batched queries get the same
+// bottom-up win as single-source ones. A panic anywhere in the sweep
+// (injected or real) fails the round with a typed engine fault instead
+// of killing the daemon.
 func (s *Service) runBatched(gs *graphState, ctx context.Context, round []*flight) {
 	sources := make([]uint32, len(round))
 	for i, f := range round {
 		sources[i] = f.source
 	}
 	var res *msbfs.Result
+	var in *graph.Graph
 	err := func() (err error) {
 		defer func() {
 			if rec := recover(); rec != nil {
@@ -917,13 +924,16 @@ func (s *Service) runBatched(gs *graphState, ctx context.Context, round []*fligh
 		if err := s.chaosSweep(); err != nil {
 			return fmt.Errorf("serve: sweep: %w", err)
 		}
+		// One in-adjacency, taken before the sweep, serves both its
+		// bottom-up levels and the lanes' parent recovery afterwards, so
+		// a lane never asks for the transpose of a graph retired since.
+		in = gs.g
+		if !gs.opts.Symmetric {
+			in = bfs.InAdjacency(gs.g)
+		}
 		// gs.opts — the service options with the graph's tuning profile
 		// applied — so batched sweeps honor the per-graph hybrid choice.
 		if gs.opts.Hybrid {
-			var in *graph.Graph
-			if !gs.opts.Symmetric {
-				in = bfs.InAdjacency(gs.g)
-			}
 			res, err = msbfs.RunHybridContext(ctx, gs.g, in, sources, s.cfg.Workers)
 		} else {
 			res, err = msbfs.RunContext(ctx, gs.g, sources, s.cfg.Workers)
@@ -949,7 +959,7 @@ func (s *Service) runBatched(gs *graphState, ctx context.Context, round []*fligh
 	gs.qNanos.Add(int64(res.Elapsed))
 	perLane := res.Elapsed / time.Duration(len(round))
 	for k, f := range round {
-		s.resolve(gs, f, newLaneTraversal(res, k, perLane), nil)
+		s.resolve(gs, f, newLaneTraversal(res, k, in, perLane), nil)
 	}
 }
 

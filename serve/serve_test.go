@@ -342,7 +342,7 @@ func TestEnginePool(t *testing.T) {
 }
 
 func TestLRUCacheEviction(t *testing.T) {
-	c := newLRUCache(2)
+	c := newLRUCache(2, 0)
 	tr := func(s uint32) *Traversal { return &Traversal{Source: s} }
 	c.put(1, tr(1))
 	c.put(2, tr(2))
@@ -359,7 +359,7 @@ func TestLRUCacheEviction(t *testing.T) {
 	if c.len() != 2 {
 		t.Errorf("len = %d, want 2", c.len())
 	}
-	d := newLRUCache(-1)
+	d := newLRUCache(-1, 0)
 	d.put(1, tr(1))
 	if _, ok := d.get(1); ok {
 		t.Error("disabled cache returned a hit")
